@@ -8,6 +8,8 @@ pays.
 Modes:
 
 * ``timed`` — the workload as a user runs it, tracing off.
+* ``check`` — the first :data:`CHECK_CELLS` cells of a campaign, run
+  the same way, whose results must equal the timed repetition's.
 * ``reference`` — the untraced twin of ``traced``: the same operations
   in the same order, so the two give the tracing overhead.
 * ``traced`` — the layer wrappers of :mod:`summary` installed; reports
@@ -33,12 +35,13 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 from spans import SpanRecorder, wrapper_ns_per_call  # noqa: E402
+from speed import calibrate, reference_seconds, setup_seconds  # noqa: E402
 from summary import (  # noqa: E402
     LAYERS,
     POOL_WORK,
     RUN_CLASSES,
     SIM_COUNTS,
-    fanout_width,
+    FANOUT_WIDTH,
 )
 
 #: SPEC proxies spanning the paper's workload classes: code-footprint
@@ -68,8 +71,13 @@ SUITE_BUILD_SEED = 12345
 #: Campaign cells per repetition: every fault-model mix appears equally
 #: often, so the mix of cheap (transient) and costly (burst) cells is
 #: the same for every seed.  Cell costs vary by 20-35% with the fault
-#: seed, so a run needs tens of distinct cells for steady figures.
-CAMPAIGN_CELLS = {"fault-campaign": 32, "shared-pool": 24}
+#: seed, so a run needs tens of distinct cells for steady figures: one
+#: timed repetition of many cells on a small bitcount, with more than
+#: ten burst cells so that the tail falls among them.
+CAMPAIGN_CELLS = {"fault-campaign": 56, "shared-pool": 48}
+CAMPAIGN_SCALE = 0.15
+#: Cells the check repetition runs again: one of each mix.
+CHECK_CELLS = 4
 CAMPAIGN_MODELS = ("transient", "burst", "stuckat", "sram")
 #: Cells the traced run replays in process under the engine wrappers:
 #: the first two of each mix.  The whole grid under the wrappers would
@@ -94,6 +102,16 @@ CELL_FIELDS = (
 def digest(rows: Any) -> str:
     text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def cpu_s() -> float:
+    """CPU seconds of this process and of the children it has reaped.
+
+    Both count from process start and leave out steal time, the time the
+    host gives this guest's CPUs to another.
+    """
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
 
 
 def peak_rss_mb() -> float:
@@ -162,27 +180,36 @@ def run_suite(seed: int, t0_ns: int, recorder: Optional[SpanRecorder]) -> Dict[s
     from repro.experiments.spec_runs import execute_suite_task
 
     tasks = suite_tasks(seed)
+    setup_s = cpu_s()
     first_ns = time.monotonic_ns()
     op_s: List[float] = []
+    calibrations: List[float] = []
     results: List[Any] = []
     for task in tasks:
-        start = time.perf_counter()
+        calibrations.append(calibrate())
+        start = time.process_time()
         try:
             with recorder.span("bench.op") if recorder else nullcontext():
                 result = execute_suite_task(task)
         except Exception:
             traceback.print_exc()
             result = None
-        op_s.append(time.perf_counter() - start)
+        op_s.append(time.process_time() - start)
         results.append(result)
+    wall_s = (time.monotonic_ns() - first_ns) / 1e9
     if recorder is not None:
         # Unwrapped before the golden runs: they check the operations
         # and are not part of them.
         recorder.restore()
+    scaled = reference_seconds(op_s, calibrations)
     return {
-        "setup_s": (first_ns - t0_ns) / 1e9,
-        "op_s": op_s,
-        "timed_s": sum(op_s),
+        "setup_s": setup_seconds(setup_s, calibrations),
+        "setup_cpu_s": setup_s,
+        "setup_wall_s": (first_ns - t0_ns) / 1e9,
+        "op_s": scaled,
+        "timed_s": sum(scaled),
+        "cpu_s": sum(op_s),
+        "wall_s": wall_s,
         "instructions": sum(r.instructions for r in results if r is not None),
         "failed": suite_golden_failures(tasks, results),
         "digest": digest([suite_row(t, r) for t, r in zip(tasks, results)]),
@@ -192,15 +219,16 @@ def run_suite(seed: int, t0_ns: int, recorder: Optional[SpanRecorder]) -> Dict[s
 # ------------------------------------------------------------- campaigns --
 
 
-def campaign_spec(workload: str, seed: int) -> Any:
+def campaign_spec(workload: str, seed: int, cells: Optional[int] = None) -> Any:
+    """The workload's campaign, or its first ``cells`` cells."""
     from repro.resilience import CampaignSpec
 
-    cells = CAMPAIGN_CELLS[workload]
+    grid = CAMPAIGN_CELLS[workload]
     common = dict(
         workload="bitcount",
-        scale=0.3,
-        seeds=cells,
-        first_seed=seed * cells,
+        scale=CAMPAIGN_SCALE,
+        seeds=cells or grid,
+        first_seed=seed * grid,
         rates=(3e-4,),
         models=CAMPAIGN_MODELS,
         dvs=True,
@@ -208,7 +236,7 @@ def campaign_spec(workload: str, seed: int) -> Any:
         # seed varies the runs on it.
         first_chip_seed=0,
         timeout_s=120.0,
-        workers=fanout_width(),
+        workers=FANOUT_WIDTH,
     )
     if workload == "fault-campaign":
         return CampaignSpec(tracing=True, **common)
@@ -222,24 +250,40 @@ def cell_row(run_id: int, run_class: str, source: Any) -> list:
 
 
 def run_store_campaign(
-    workload: str, seed: int, t0_ns: int, out_dir: str
+    workload: str, seed: int, t0_ns: int, out_dir: str, cells: Optional[int] = None
 ) -> Dict[str, Any]:
-    """The store-backed ``run_campaign`` a user runs, timed from the parent."""
+    """The store-backed ``run_campaign`` a user runs, timed from the parent.
+
+    A cell's CPU time is what the parent and its reaped workers spent
+    since the previous cell's result.  The fan-out reaps each worker
+    just before it reports the cell, so that is the whole of the cell's
+    worker (its fork, golden run and simulation) plus the parent's share
+    in between (pipe, classification, store commit, the next fork).  The
+    parent samples the host speed after each result, outside that time,
+    while no worker runs.
+    """
     from repro.resilience import run_campaign
 
-    spec = campaign_spec(workload, seed)
+    spec = campaign_spec(workload, seed, cells)
     store_path = os.path.join(out_dir, f"store-{workload}-{os.getpid()}.sqlite")
     started: Dict[int, float] = {}
     observed: Dict[int, float] = {}
-    marks: Dict[str, int] = {}
+    cpu: Dict[int, float] = {}
+    calibrations: Dict[int, float] = {}
+    marks: Dict[str, float] = {}
 
     def on_start(payload: Dict[str, Any]) -> None:
-        marks.setdefault("first_ns", time.monotonic_ns())
+        if "first_ns" not in marks:
+            marks["first_ns"] = time.monotonic_ns()
+            marks["setup_s"] = marks["last_cpu_s"] = cpu_s()
         started[payload["run_id"]] = time.perf_counter()
 
     def progress(record: Any) -> None:
         observed[record.run_id] = time.perf_counter() - started[record.run_id]
+        cpu[record.run_id] = cpu_s() - marks["last_cpu_s"]
         marks["last_ns"] = time.monotonic_ns()
+        calibrations[record.run_id] = calibrate()
+        marks["last_cpu_s"] = cpu_s()
 
     try:
         report = run_campaign(spec, progress, store_path=store_path, on_start=on_start)
@@ -249,18 +293,32 @@ def run_store_campaign(
             if os.path.exists(store_path + suffix):
                 os.remove(store_path + suffix)
     records = sorted(report.records, key=lambda r: r.run_id)
-    cells = len(spec.expand())
     # A crashed or watchdog-killed worker leaves no engine outcome.
-    failed = sum(1 for r in records if r.outcome is None) + cells - len(records)
+    failed = sum(1 for r in records if r.outcome is None)
+    failed += len(spec.expand()) - len(records)
     rows = [cell_row(r.run_id, r.run_class.value, r) for r in records]
+    # Completion order is time order: each cell is scaled by the host
+    # speed sampled as it and its neighbours finished.
+    done = list(cpu)
+    scaled = dict(
+        zip(
+            done,
+            reference_seconds([cpu[i] for i in done], [calibrations[i] for i in done]),
+        )
+    )
     return {
-        "setup_s": (marks["first_ns"] - t0_ns) / 1e9,
-        "op_s": [observed[r.run_id] for r in records],
-        "timed_s": (marks["last_ns"] - marks["first_ns"]) / 1e9,
+        "setup_s": setup_seconds(marks["setup_s"], [calibrations[i] for i in done]),
+        "setup_cpu_s": marks["setup_s"],
+        "setup_wall_s": (marks["first_ns"] - t0_ns) / 1e9,
+        "op_s": [scaled[r.run_id] for r in records],
+        "timed_s": sum(scaled.values()),
+        "cpu_s": sum(cpu.values()),
+        "wall_s": (marks["last_ns"] - marks["first_ns"]) / 1e9,
         "instructions": sum(r.instructions for r in records),
         "failed": failed,
         "digest": digest(rows),
         "traced_cells_digest": digest(rows[:TRACED_CELLS]),
+        "check_digest": digest(rows[:CHECK_CELLS]),
         "fanout_overhead_s": sum(observed[r.run_id] - r.duration_s for r in records),
         "store_bytes_per_op": store_bytes / max(1, len(records)),
     }
@@ -273,18 +331,20 @@ def run_cells_in_process(
     from repro.resilience.campaign import classify_result, execute_run
 
     op_s: List[float] = []
+    calibrations: List[float] = []
     rows: List[Optional[list]] = []
     classes = {run_class: 0 for run_class in RUN_CLASSES}
     failed = 0
     for payload in campaign_spec(workload, seed).expand()[:TRACED_CELLS]:
-        start = time.perf_counter()
+        calibrations.append(calibrate())
+        start = time.process_time()
         try:
             with recorder.span("bench.op") if recorder else nullcontext():
                 message = execute_run(payload)
         except Exception:
             traceback.print_exc()
             message = None
-        op_s.append(time.perf_counter() - start)
+        op_s.append(time.process_time() - start)
         if message is None:
             failed += 1
             classes["crash"] += 1
@@ -295,7 +355,7 @@ def run_cells_in_process(
         rows.append(cell_row(payload["run_id"], run_class, message))
     return {
         "op_s": op_s,
-        "timed_s": sum(op_s),
+        "timed_s": sum(reference_seconds(op_s, calibrations)),
         "failed": failed,
         "classes": classes,
         "digest": digest(rows),
@@ -405,7 +465,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--mode", choices=("timed", "reference", "traced"), required=True)
+    parser.add_argument(
+        "--mode", choices=("timed", "check", "reference", "traced"), required=True
+    )
     parser.add_argument("--t0-ns", type=int, required=True)
     parser.add_argument("--out-dir", required=True)
     args = parser.parse_args(argv)
@@ -416,6 +478,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out = run_suite(args.seed, args.t0_ns, None)
     elif args.mode == "timed":
         out = run_store_campaign(args.workload, args.seed, args.t0_ns, args.out_dir)
+    elif args.mode == "check":
+        out = run_store_campaign(
+            args.workload, args.seed, args.t0_ns, args.out_dir, CHECK_CELLS
+        )
     else:
         out = run_cells_in_process(args.workload, args.seed, None)
     out["peak_rss_mb"] = peak_rss_mb()

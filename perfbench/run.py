@@ -15,7 +15,13 @@ Workloads (see ``BENCHMARK.json`` for why each exists):
 ``--trace 0`` runs repetitions of the workload, each in a fresh process
 (cold caches), and prints the end-to-end metrics.  The repetition count
 is the one that fills ``--seconds`` on the reference host (2 x86 cores),
-so every run of a workload measures the same operation mix.
+so every run of a workload measures the same operation mix: three of the
+suite, one of each campaign plus a short check repetition that runs its
+first cells again.  Every process of the run shares one CPU.  Times are
+CPU seconds, and operation times are scaled to a reference host speed
+(:mod:`speed`): the repetition samples the host's speed with a fixed
+calibration next to every operation, so load from other guests of a
+shared host does not show as a change of the simulator.
 ``--trace 1`` runs one untraced and one traced repetition and prints the
 per-layer metrics; every span is saved under ``.perfbench/``.
 
@@ -44,7 +50,7 @@ sys.path.insert(0, HERE)
 
 from summary import (  # noqa: E402
     END_TO_END,
-    fanout_width,
+    FANOUT_WIDTH,
     per_layer_units,
     tail,
 )
@@ -52,8 +58,7 @@ from summary import (  # noqa: E402
 WORKLOADS = ("spec-suite", "fault-campaign", "shared-pool")
 
 #: Seconds one timed repetition takes on the reference host.
-REP_SECONDS = {"spec-suite": 10.0, "fault-campaign": 17.0, "shared-pool": 16.0}
-MIN_REPS = 2
+REP_SECONDS = {"spec-suite": 10.0, "fault-campaign": 24.0, "shared-pool": 28.0}
 
 CACHE_STATE = {
     "spec-suite": "cold per process: a fresh process per repetition; "
@@ -99,9 +104,12 @@ def run_rep(workload: str, seed: int, mode: str, out_dir: str, deadline: float) 
     try:
         stdout, stderr = process.communicate(timeout=timeout)
     except subprocess.TimeoutExpired as expired:
-        os.killpg(process.pid, signal.SIGKILL)
-        process.communicate()
         raise BenchError(f"{mode} repetition exceeded {timeout:.0f} s") from expired
+    finally:
+        # On a timeout, an interrupt or SIGTERM: stop the group, reap it.
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
     if process.returncode != 0:
         raise BenchError(f"{mode} repetition exited {process.returncode}:\n{stderr[-4000:]}")
     return json.loads(stdout.strip().splitlines()[-1])
@@ -116,7 +124,10 @@ def host() -> Dict[str, Any]:
 
 
 def repetitions(workload: str, seconds: int) -> int:
-    return max(MIN_REPS, round(seconds / REP_SECONDS[workload]))
+    # The suite compares digests across its timed repetitions, so it
+    # needs two; a campaign has its check repetition for that.
+    least = 2 if workload == "spec-suite" else 1
+    return max(least, round(seconds / REP_SECONDS[workload]))
 
 
 def measure(workload: str, seed: int, seconds: int, out_dir: str, deadline: float) -> Dict[str, Any]:
@@ -127,34 +138,48 @@ def measure(workload: str, seed: int, seconds: int, out_dir: str, deadline: floa
     ]
     op_s = [t for rep in reps for t in rep["op_s"]]
     timed_s = sum(rep["timed_s"] for rep in reps)
-    failed = 0
-    for rep in reps:
-        # A repetition whose simulated results differ from the first's
-        # is wrong somewhere: all of its operations count as failed.
-        if rep["digest"] != reps[0]["digest"]:
-            failed += len(rep["op_s"])
-        else:
-            failed += rep["failed"]
+    # A repetition whose simulated results differ from the first's is
+    # wrong somewhere: all of its operations count as failed.
+    compared = [(rep, rep["digest"], reps[0]["digest"]) for rep in reps]
+    if workload != "spec-suite":
+        # A fresh process runs the campaign's first cells again.
+        check = run_rep(workload, seed, "check", out_dir, deadline)
+        compared.append((check, check["digest"], reps[0]["check_digest"]))
+    attempted = failed = 0
+    for rep, got, expected in compared:
+        attempted += len(rep["op_s"])
+        failed += len(rep["op_s"]) if got != expected else rep["failed"]
     rank = tail(op_s)
     if rank is None:
         raise BenchError(f"{len(op_s)} operations are too few for a tail percentile")
+    wall_s = sum(rep["wall_s"] for rep in reps)
     metrics = {
-        "setup_s": statistics.median([rep["setup_s"] for rep in reps]),
-        "ops_per_s": len(op_s) / timed_s,
-        "op_s_p50": statistics.median(op_s),
-        "op_s_tail": rank[1],
-        "sim_instr_per_s": sum(rep["instructions"] for rep in reps) / timed_s,
+        "setup_s": statistics.median([rep["setup_s"] for rep, _, _ in compared]),
+        "ops_per_cpu_s": len(op_s) / timed_s,
+        "op_cpu_s_p50": statistics.median(op_s),
+        "op_cpu_s_tail": rank[1],
+        "sim_instr_per_cpu_s": sum(rep["instructions"] for rep in reps) / timed_s,
         "peak_rss_mb": statistics.median([rep["peak_rss_mb"] for rep in reps]),
     }
     report = {
         "repetitions": len(reps),
         "operations": len(op_s),
-        "failed_frac": failed / len(op_s),
-        "op_s_tail_percentile": rank[0],
-        "op_s_tail_samples": len(op_s),
+        "checked_operations": attempted - len(op_s),
+        "failed_frac": failed / attempted,
+        "op_cpu_s_tail_percentile": rank[0],
+        "op_cpu_s_tail_samples": len(op_s),
+        # Unscaled figures, for reading the metrics against: CPU seconds
+        # at the speed the host gave, and wall-clock seconds, which also
+        # count the time other guests held the CPUs.
+        "ops_per_unscaled_cpu_s": len(op_s) / sum(rep["cpu_s"] for rep in reps),
+        "ops_per_wall_s": len(op_s) / wall_s,
+        "setup_cpu_s": statistics.median([rep["setup_cpu_s"] for rep, _, _ in compared]),
+        "setup_wall_s": statistics.median([rep["setup_wall_s"] for rep, _, _ in compared]),
         "digests": sorted({rep["digest"] for rep in reps}),
     }
-    return {"metrics": metrics, "attempted": len(op_s), "failed": failed, "report": report}
+    if workload != "spec-suite":
+        report["check_digest"] = check["digest"]
+    return {"metrics": metrics, "attempted": attempted, "failed": failed, "report": report}
 
 
 def trace(workload: str, seed: int, out_dir: str, deadline: float) -> Dict[str, Any]:
@@ -194,6 +219,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    # SIGTERM unwinds like an exception, so running repetitions are stopped.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    # Every process of the run (repetitions and campaign workers inherit
+    # this) on one CPU: the host-speed samples are then taken on the CPU
+    # that does the work, and nothing of the run waits for a CPU.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     if args.seed < 0 or args.seconds < 1:
         parser.error("--seed must be >= 0 and --seconds >= 1")
     deadline = time.monotonic() + DEADLINE_S
@@ -217,7 +248,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "seed": args.seed,
         "trace": args.trace,
         "host": host(),
-        "fanout_width": 1 if args.workload == "spec-suite" else fanout_width(),
+        "fanout_width": FANOUT_WIDTH,
         "main_cores": 2 if args.workload == "shared-pool" else 1,
         "cache_state": CACHE_STATE[args.workload],
         **result["report"],

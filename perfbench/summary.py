@@ -7,16 +7,21 @@ The names here are the contract with ``BENCHMARK.json``: a run with
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Sequence, Tuple
 
-#: End-to-end metrics: name -> unit.  Measured with tracing off.
+#: End-to-end metrics: name -> unit.  Measured with tracing off.  Times
+#: are CPU seconds of the benchmark's processes and the workers they
+#: reap (on a shared host the kernel leaves out the time another guest
+#: holds the CPU, which wall-clock time would count).  Operation times
+#: are scaled to the reference host speed of :mod:`speed`; ``setup_s``,
+#: imports and the first builds, is not, since the calibration does not
+#: track it.
 END_TO_END: Dict[str, str] = {
     "setup_s": "s",
-    "ops_per_s": "1/s",
-    "op_s_p50": "s",
-    "op_s_tail": "s",
-    "sim_instr_per_s": "1/s",
+    "ops_per_cpu_s": "1/s",
+    "op_cpu_s_p50": "s",
+    "op_cpu_s_tail": "s",
+    "sim_instr_per_cpu_s": "1/s",
     "peak_rss_mb": "MB",
 }
 
@@ -132,9 +137,10 @@ def per_layer_units() -> Dict[str, str]:
     return units
 
 
-def fanout_width() -> int:
-    """Campaign worker processes: at most two, never more than the CPUs."""
-    return min(2, os.cpu_count() or 1)
+#: Campaign worker processes.  With one, the CPU time between two cells'
+#: results is one cell's alone, and the parent samples the host speed
+#: between cells with no worker running.
+FANOUT_WIDTH = 1
 
 
 def tail(samples: Sequence[float], beyond: int = 10) -> Optional[Tuple[float, float]]:

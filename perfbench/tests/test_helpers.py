@@ -17,6 +17,7 @@ BENCH = os.path.dirname(HERE)
 sys.path.insert(0, BENCH)
 
 from spans import SpanRecorder, layer_totals, self_ns  # noqa: E402
+from speed import CALIBRATION_S, WINDOW, reference_seconds, setup_seconds  # noqa: E402
 from summary import END_TO_END, per_layer_units, tail  # noqa: E402
 
 NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
@@ -57,6 +58,42 @@ def test_tail_counts_ties_as_beyond():
     percentile, value = tail(samples)
     assert value == 2.0
     assert percentile == pytest.approx(100.0 * 15 / 25)
+
+
+# ------------------------------------------------------------ host speed --
+
+
+def test_reference_seconds_divide_by_the_nearby_calibrations():
+    assert WINDOW == 2
+    slow = 2 * CALIBRATION_S
+    scaled = reference_seconds([1.0, 1.0, 1.0], [slow, slow, slow])
+    assert scaled == pytest.approx([0.5, 0.5, 0.5])
+
+
+def test_calibrations_alternating_between_two_speeds_average():
+    calibrations = [CALIBRATION_S, 3 * CALIBRATION_S] * 4
+    scaled = reference_seconds([1.0] * 8, calibrations)
+    # Window of five at index 2: fast, slow, fast, slow, fast.
+    assert scaled[2] == pytest.approx(5 / 9)
+    assert scaled[3] == pytest.approx(5 / 11)
+
+
+def test_reference_seconds_follow_a_change_of_host_speed():
+    calibrations = [CALIBRATION_S] * 5 + [2 * CALIBRATION_S] * 5
+    scaled = reference_seconds([1.0] * 5 + [2.0] * 5, calibrations)
+    assert scaled[:2] == pytest.approx([1.0, 1.0])
+    assert scaled[-2:] == pytest.approx([1.0, 1.0])
+
+
+def test_setup_takes_the_speed_of_the_first_operations():
+    calibrations = [2 * CALIBRATION_S] * (2 * WINDOW + 1) + [100 * CALIBRATION_S]
+    assert setup_seconds(1.0, calibrations) == pytest.approx(0.5)
+    assert setup_seconds(1.0, [4 * CALIBRATION_S]) == pytest.approx(0.25)
+
+
+def test_reference_seconds_need_one_calibration_per_operation():
+    with pytest.raises(ValueError):
+        reference_seconds([1.0, 2.0], [CALIBRATION_S])
 
 
 # -------------------------------------------------------------- self time --
