@@ -64,25 +64,7 @@ from .core import (
     System,
 )
 from .stats import render_checker_gantt, render_timeline
-from .workloads import (
-    SPEC_ORDER,
-    Workload,
-    build_bitcount,
-    build_crc32,
-    build_matmul,
-    build_quicksort,
-    build_spec_workload,
-    build_stream,
-)
-
-#: Workload-name -> builder; SPEC proxies resolve through their own table.
-WORKLOAD_BUILDERS: Dict[str, Callable[..., Workload]] = {
-    "bitcount": lambda scale: build_bitcount(values=int(100 * scale)),
-    "stream": lambda scale: build_stream(elements=256, passes=max(1, int(scale))),
-    "matmul": lambda scale: build_matmul(n=max(4, int(10 * scale))),
-    "quicksort": lambda scale: build_quicksort(elements=int(96 * scale)),
-    "crc32": lambda scale: build_crc32(length_words=int(24 * scale)),
-}
+from .workloads import SPEC_ORDER, WORKLOAD_BUILDERS, resolve_workload
 
 SYSTEMS: Dict[str, Callable[..., System]] = {
     "baseline": lambda config, dvs, resilient=False: BaselineSystem(config=config),
@@ -92,15 +74,6 @@ SYSTEMS: Dict[str, Callable[..., System]] = {
         config=config, dvs=dvs, resilient=resilient
     ),
 }
-
-
-def resolve_workload(name: str, scale: float) -> Workload:
-    if name in WORKLOAD_BUILDERS:
-        return WORKLOAD_BUILDERS[name](scale)
-    if name in SPEC_ORDER:
-        return build_spec_workload(name, iterations=max(2, int(20 * scale)))
-    known = ", ".join(list(WORKLOAD_BUILDERS) + SPEC_ORDER)
-    raise SystemExit(f"unknown workload {name!r}; choose from: {known}")
 
 
 def cmd_workloads(_args: argparse.Namespace) -> int:

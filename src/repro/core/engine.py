@@ -34,7 +34,7 @@ buffering of unchecked stores that multicore correctness requires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 import numpy as np
 
@@ -74,6 +74,11 @@ from ..telemetry import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..oracle.invariants import ParanoidChecker
+
+
+#: Protected execution between shared-pool calls: yields the main core's
+#: wall time (ns) before each one (see :meth:`SimulationEngine.steps`).
+Steps = Generator[float, None, None]
 
 
 class LivelockError(RuntimeError):
@@ -385,7 +390,7 @@ class SimulationEngine:
             self.tracer.now_ns = self.wall_ns
             self.tracer.emit("engine", "segment_open", segment=seq)
 
-    def _close_segment(self, reason: SegmentCloseReason) -> None:
+    def _close_segment(self, reason: SegmentCloseReason) -> Steps:
         segment = self._segment
         assert segment is not None
         segment.close(self.state.snapshot(), reason)
@@ -417,7 +422,7 @@ class SimulationEngine:
         self._dvfs_checkpoint(error=False)
 
         if self.pool is not None:
-            self._dispatch(segment)
+            yield from self._dispatch(segment)
 
         event = (
             LengthEvent.EVICTION
@@ -456,7 +461,7 @@ class SimulationEngine:
             self.jit.note_voltage(self.dvfs.voltage)
 
     # -------------------------------------------------------------- checking --
-    def _dispatch(self, segment: LogSegment) -> None:
+    def _dispatch(self, segment: LogSegment) -> Steps:
         pool = self.pool
         assert pool is not None
         # A retry of a rolled-back checkpoint is steered away from the
@@ -469,6 +474,9 @@ class SimulationEngine:
             and segment.start_state.instret == suspect[0]
         )
         avoid = {suspect[1]} if retrying else None
+        # No yield between select and dispatch: the pair is one atomic
+        # reservation, so two mains never claim one free checker.
+        yield self.wall_ns
         core, start_ns = pool.select(self.wall_ns, avoid=avoid)
         if start_ns > self.wall_ns:
             self._stall_to_wall(start_ns, StallBucket.CHECKER_WAIT)
@@ -578,7 +586,7 @@ class SimulationEngine:
         if committed and self.paranoid is not None:
             self.paranoid.on_commit(self)
 
-    def _handle_detection(self, pending: PendingCheck) -> None:
+    def _handle_detection(self, pending: PendingCheck) -> Steps:
         """Roll back to the start of the faulty segment and resume."""
         faulty = pending.segment
         now = max(self.wall_ns, pending.end_ns)
@@ -603,6 +611,7 @@ class SimulationEngine:
         # Abort in-flight checks of squashed segments.
         for squashed in to_squash:
             if self.pool is not None:
+                yield now
                 self.pool.abort(squashed.record, now)
         self._pending = keep
         self._pending_detected = sum(1 for p in keep if p.result.detected)
@@ -703,7 +712,7 @@ class SimulationEngine:
             self.paranoid.on_rollback(self, faulty.seq - 1)
         del useful_before
 
-    def _handle_main_trap(self, trap: SimTrap) -> None:
+    def _handle_main_trap(self, trap: SimTrap) -> Steps:
         """The main core itself trapped — suspect a transient fault.
 
         With main-core injection enabled a bit flip can send the main core
@@ -725,7 +734,7 @@ class SimulationEngine:
             head_effective = max(head.end_ns, self._last_commit_ns)
             if detection is not None and detection.end_ns <= head_effective:
                 self._stall_to_wall(detection.end_ns, StallBucket.CHECKER_WAIT)
-                self._handle_detection(detection)
+                yield from self._handle_detection(detection)
                 self._trap_retries = 0
                 return
             self._stall_to_wall(head_effective, StallBucket.CHECKER_WAIT)
@@ -810,21 +819,34 @@ class SimulationEngine:
     # ------------------------------------------------------------------- run --
     def run(self, max_instructions: int = 1_000_000) -> RunResult:
         """Simulate until the program halts or the useful budget is reached."""
+        steps = self.steps(max_instructions)
+        while True:
+            try:
+                next(steps)
+            except StopIteration as done:
+                return done.value
+
+    def steps(
+        self, max_instructions: int = 1_000_000
+    ) -> Generator[float, None, RunResult]:
+        """:meth:`run` as a resumable generator.
+
+        Yields the main core's wall time (ns) just before every
+        shared-state checker-pool call — each ``select`` and each
+        ``abort`` — and returns the :class:`RunResult`.  Between two
+        yields the engine touches no pool state, and a ``select`` and
+        its ``dispatch`` never straddle a yield, so a driver that always
+        resumes the engine with the smallest ``(time_ns, main_id)``
+        co-simulates several engines on one pool deterministically (see
+        :func:`repro.core.multicore.run_shared_engines`).
+        """
         options = self.options
         if not options.checking:
             return self._run_unprotected(max_instructions)
         livelock_budget = int(max_instructions * options.livelock_factor)
-        if options.jit and (self.injector is None or self.injector.target != "main"):
-            # Protected path: blocks record into the live segment and
-            # commit to the timing model, exactly like the fill loop.
-            self.jit = SuperblockJit(
-                self.program,
-                self.state,
-                self.port,
-                commit=self.timing.commit,
-                unit_mix=self._unit_mix,
-                record=True,
-            )
+        # Protected path: blocks record into the live segment and commit
+        # to the timing model, exactly like the fill loop.
+        self._build_jit(self.port, record=True)
         self._open_segment(self.state.snapshot())
 
         outcome = RunOutcome.COMPLETED
@@ -832,16 +854,16 @@ class SimulationEngine:
         main_done_ns = 0.0
         try:
             while True:
-                self._fill_loop(max_instructions, livelock_budget)
+                yield from self._fill_loop(max_instructions, livelock_budget)
                 # Program finished (or budget reached): close the last segment.
                 segment = self._segment
                 if segment is not None and segment.instruction_count > 0:
-                    self._close_segment(SegmentCloseReason.PROGRAM_END)
+                    yield from self._close_segment(SegmentCloseReason.PROGRAM_END)
                 # The application is complete here; outstanding checks
                 # drain in the background and only extend the run if one
                 # of them detects an error.
                 main_done_ns = self.wall_ns
-                if not self._drain():
+                if not (yield from self._drain()):
                     break
                 # A detection during drain un-halted the state; keep running.
         except LivelockError:
@@ -903,6 +925,25 @@ class SimulationEngine:
         self._finalize_telemetry(result)
         return result
 
+    def _build_jit(self, port, record: bool) -> None:
+        """Build the superblock tier over ``port`` unless disabled.
+
+        Never built under main-core fault injection: injection points
+        are per-instruction hooks that must see every retired
+        instruction.
+        """
+        if self.options.jit and (
+            self.injector is None or self.injector.target != "main"
+        ):
+            self.jit = SuperblockJit(
+                self.program,
+                self.state,
+                port,
+                commit=self.timing.commit,
+                unit_mix=self._unit_mix,
+                record=record,
+            )
+
     def _finalize_telemetry(self, result: RunResult) -> None:
         """Fold run-level statistics into the metrics registry and attach
         the serialized trace + metrics to the result.
@@ -961,20 +1002,11 @@ class SimulationEngine:
         state = self.state
         # Bypass the logging port entirely.
         self.executor.port = self.memory
-        options = self.options
-        jit = None
-        if options.jit and (self.injector is None or self.injector.target != "main"):
-            # Built after the port rebind above so blocks bind the raw
-            # memory image, like the interpreted steps they replace.
-            # No segments here, so commit-only emission (no recorder).
-            jit = SuperblockJit(
-                self.program,
-                self.state,
-                self.memory,
-                commit=self.timing.commit,
-                unit_mix=self._unit_mix,
-            )
-            self.jit = jit
+        # Built after the port rebind above so blocks bind the raw
+        # memory image, like the interpreted steps they replace.  No
+        # segments here, so commit-only emission (no recorder).
+        self._build_jit(self.memory, record=False)
+        jit = self.jit
         # Hot loop: bind the per-instruction callees once.
         step = self.executor.step
         commit = self.timing.commit
@@ -1016,7 +1048,7 @@ class SimulationEngine:
         self._finalize_telemetry(result)
         return result
 
-    def _fill_loop(self, max_instructions: int, livelock_budget: int) -> None:
+    def _fill_loop(self, max_instructions: int, livelock_budget: int) -> Steps:
         """Execute main-core instructions until halt or budget."""
         state = self.state
         segment_target = self.length_controller.target
@@ -1047,8 +1079,8 @@ class SimulationEngine:
                 # current segment and block until every outstanding check
                 # has committed clean before letting the write proceed.
                 if self._segment.instruction_count > 0:
-                    self._close_segment(SegmentCloseReason.EXTERNAL)
-                if self._drain_blocking():
+                    yield from self._close_segment(SegmentCloseReason.EXTERNAL)
+                if (yield from self._drain_blocking()):
                     segment_target = self.length_controller.target
                     continue  # a detection rolled us back; retry
                 self._external_verified = True
@@ -1080,17 +1112,19 @@ class SimulationEngine:
                         entry.run(jit._rec)
                     except SegmentFull:
                         self._executed_total += state.instret - before
-                        self._close_segment(SegmentCloseReason.LOG_CAPACITY)
+                        yield from self._close_segment(
+                            SegmentCloseReason.LOG_CAPACITY
+                        )
                         segment_target = self.length_controller.target
                         continue
                     except UncheckedConflictStall as stall:
                         self._executed_total += state.instret - before
-                        self._handle_conflict(stall.address)
+                        yield from self._handle_conflict(stall.address)
                         segment_target = self.length_controller.target
                         continue
                     except SimTrap as trap:
                         self._executed_total += state.instret - before
-                        self._handle_main_trap(trap)
+                        yield from self._handle_main_trap(trap)
                         segment_target = self.length_controller.target
                         continue
                     self._executed_total += entry.length
@@ -1098,23 +1132,25 @@ class SimulationEngine:
                     stats.dispatches += 1
                     stats.instructions += entry.length
                     if self._segment.instruction_count >= segment_target:
-                        self._close_segment(SegmentCloseReason.TARGET_LENGTH)
+                        yield from self._close_segment(
+                            SegmentCloseReason.TARGET_LENGTH
+                        )
                         segment_target = self.length_controller.target
                     continue
             try:
                 info = step()
             except SegmentFull:
-                self._close_segment(SegmentCloseReason.LOG_CAPACITY)
+                yield from self._close_segment(SegmentCloseReason.LOG_CAPACITY)
                 segment_target = self.length_controller.target
                 continue
             except UncheckedConflictStall as stall:
-                self._handle_conflict(stall.address)
+                yield from self._handle_conflict(stall.address)
                 segment_target = self.length_controller.target
                 continue
             except HaltTrap:  # pragma: no cover - defensive
                 break
             except SimTrap as trap:
-                self._handle_main_trap(trap)
+                yield from self._handle_main_trap(trap)
                 segment_target = self.length_controller.target
                 continue
 
@@ -1132,8 +1168,8 @@ class SimulationEngine:
                 # the write, which was never released — no duplication.
                 self._external_verified = False
                 pending_text = state.output[-1][1] if state.output else ""
-                self._close_segment(SegmentCloseReason.EXTERNAL)
-                if self._drain_blocking():
+                yield from self._close_segment(SegmentCloseReason.EXTERNAL)
+                if (yield from self._drain_blocking()):
                     segment_target = self.length_controller.target
                     continue
                 self.external_flushes.append((self.wall_ns, pending_text))
@@ -1158,21 +1194,21 @@ class SimulationEngine:
             if self._pending_detected:
                 detection = self._next_detection()
                 if detection is not None and detection.end_ns <= self.wall_ns:
-                    self._handle_detection(detection)
+                    yield from self._handle_detection(detection)
                     segment_target = self.length_controller.target
                     continue
 
             if state.halted:
                 break
             if segment.instruction_count >= segment_target:
-                self._close_segment(SegmentCloseReason.TARGET_LENGTH)
+                yield from self._close_segment(SegmentCloseReason.TARGET_LENGTH)
                 segment_target = self.length_controller.target
 
-    def _handle_conflict(self, address: int) -> None:
+    def _handle_conflict(self, address: int) -> Steps:
         """An unchecked-line conflict: drain checkers until the write fits."""
         segment = self._segment
         if segment.instruction_count > 0:
-            self._close_segment(SegmentCloseReason.EVICTION_CONFLICT)
+            yield from self._close_segment(SegmentCloseReason.EVICTION_CONFLICT)
         # Wait for commits (in order) until the set has a free way.
         while self.tracker.would_conflict(address):
             detection = self._next_detection()
@@ -1185,7 +1221,7 @@ class SimulationEngine:
                 head_effective is None or detection.end_ns <= head_effective
             ):
                 self._stall_to_wall(detection.end_ns, StallBucket.CONFLICT)
-                self._handle_detection(detection)
+                yield from self._handle_detection(detection)
                 return  # state rolled back; the conflicting store may not recur
             if head_effective is None:
                 raise RuntimeError(
@@ -1198,7 +1234,7 @@ class SimulationEngine:
         """Is the next instruction a syscall that updates external state?"""
         return self.state.pc in self._external_pcs
 
-    def _drain_blocking(self) -> bool:
+    def _drain_blocking(self) -> Generator[float, None, bool]:
         """Stall the main core until all checks commit; True on rollback.
 
         Unlike the end-of-run :meth:`_drain`, the main core here is *not*
@@ -1211,13 +1247,13 @@ class SimulationEngine:
             head_effective = max(head.end_ns, self._last_commit_ns)
             if detection is not None and detection.end_ns <= head_effective:
                 self._stall_to_wall(detection.end_ns, StallBucket.CHECKER_WAIT)
-                self._handle_detection(detection)
+                yield from self._handle_detection(detection)
                 return True
             self._stall_to_wall(head_effective, StallBucket.CHECKER_WAIT)
             self._process_commits(head_effective)
         return False
 
-    def _drain(self) -> bool:
+    def _drain(self) -> Generator[float, None, bool]:
         """Resolve all outstanding checks; True if a rollback re-opened work.
 
         Clean commits do not stall the (already finished) main core: the
@@ -1231,7 +1267,7 @@ class SimulationEngine:
             head_effective = max(head.end_ns, self._last_commit_ns)
             if detection is not None and detection.end_ns <= head_effective:
                 self._stall_to_wall(detection.end_ns, StallBucket.DRAIN)
-                self._handle_detection(detection)
+                yield from self._handle_detection(detection)
                 return True
             self._last_commit_ns = head_effective
             self.tracker.release_through(head.segment.seq)

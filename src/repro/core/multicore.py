@@ -9,12 +9,14 @@ changes is the checker pool: all engines schedule through per-main
 on a checker another core occupies shows up as a checker-wait stall in
 its own timeline.
 
-Execution is a conservative discrete-event co-simulation: one OS thread
-per engine, with every pool interaction gated through the shared pool's
-turnstile so interactions execute in globally sorted simulated-time
-order regardless of OS scheduling.  Results are therefore deterministic
-— the same specs and seed produce bit-identical
-:class:`MulticoreResult`\\ s on every run.
+Execution is a conservative discrete-event co-simulation in one thread:
+every engine runs as a resumable
+:meth:`~repro.core.engine.SimulationEngine.steps` generator that stops
+just before each shared-pool call, and :func:`run_shared_engines`
+always resumes the engine with the smallest ``(time_ns, main_id)``
+stamp, so pool calls execute in globally sorted simulated-time order.
+Results are therefore deterministic — the same specs and seed produce
+bit-identical :class:`MulticoreResult`\\ s on every run.
 
 Asymmetric scenarios fall out of the per-core spec: each
 :class:`CoreSpec` may carry its own :class:`~repro.core.systems.System`
@@ -24,9 +26,9 @@ so a near-threshold core can share the pool with a nominal-voltage one.
 
 from __future__ import annotations
 
-import threading
+import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -115,45 +117,42 @@ class MulticoreResult:
 
 def run_shared_engines(
     engines: Sequence[Any],
-    pool: SharedCheckerPool,
     budgets: Sequence[int],
 ) -> List[RunResult]:
     """Run pre-built engines to completion on one shared pool.
 
-    One OS thread per engine; the pool's turnstile serializes every
-    shared-pool interaction into global simulated-time order, so the
-    outcome is deterministic.  The first engine error (by main id) is
-    re-raised on the calling thread.
+    One thread, one heap of ``(time_ns, main_id, steps)``: each engine's
+    :meth:`~repro.core.engine.SimulationEngine.steps` generator stops
+    just before every shared-pool call, and the engine with the
+    smallest stamp always goes next, so pool calls run in global
+    simulated-time order.  An engine that raises leaves the heap; the
+    others run to completion, then the first error (by main id) is
+    re-raised.
     """
     n = len(engines)
     results: List[Optional[RunResult]] = [None] * n
-    errors: List[Optional[BaseException]] = [None] * n
-    turnstile = pool.turnstile
+    errors: List[Optional[Exception]] = [None] * n
+    heap: List[Tuple[float, int, Generator[float, None, RunResult]]] = []
 
-    def worker(main_id: int) -> None:
+    def advance(main_id: int, steps: Generator[float, None, RunResult]) -> None:
         try:
-            results[main_id] = engines[main_id].run(budgets[main_id])
-        except BaseException as exc:  # re-raised on the caller thread
+            at_ns = next(steps)
+        except StopIteration as done:
+            results[main_id] = done.value
+        except Exception as exc:  # re-raised once the others finish
             errors[main_id] = exc
-        finally:
-            # Permanently retire this main from arbitration so the
-            # others never wait on a finished (or dead) producer.
-            turnstile.finish(main_id)
+        else:
+            heapq.heappush(heap, (at_ns, main_id, steps))
 
-    threads = [
-        threading.Thread(target=worker, args=(i,), name=f"main-{i}", daemon=True)
-        for i in range(n)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    for main_id, engine in enumerate(engines):
+        advance(main_id, engine.steps(budgets[main_id]))
+    while heap:
+        _at_ns, main_id, steps = heapq.heappop(heap)
+        advance(main_id, steps)
     for exc in errors:
         if exc is not None:
             raise exc
-    finished = [r for r in results if r is not None]
-    assert len(finished) == n
-    return finished
+    return cast(List[RunResult], results)
 
 
 class MulticoreEngine:
@@ -224,7 +223,7 @@ class MulticoreEngine:
             else spec.workload.max_instructions
             for spec in self.specs
         ]
-        finished = run_shared_engines(self.engines, self.pool, budgets)
+        finished = run_shared_engines(self.engines, budgets)
         wall_ns = max(r.wall_ns for r in finished)
         fairness = FairnessReport.from_pool(self.pool, wall_ns)
         trace = (

@@ -67,8 +67,8 @@ def baseline_wall_ns(workload_name: str, scale: float) -> float:
     """
     key = (workload_name, float(scale))
     if key not in _baseline_cache:
-        from ..cli import resolve_workload
         from ..core import BaselineSystem
+        from ..workloads import resolve_workload
 
         workload = resolve_workload(workload_name, float(scale))
         result = BaselineSystem().run(workload, seed=0)

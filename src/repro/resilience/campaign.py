@@ -49,11 +49,18 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..ioutil import atomic_write_json
 from ..parallel import FanoutOutcome, resolve_jobs, run_fanout
 from .guard import ResilienceConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..config import SystemConfig
+    from ..core.engine import EngineOptions, SimulationEngine
+    from ..faults.injector import FaultInjector
+    from ..scheduling.shared import SharedPoolView
+    from ..workloads import GoldenResult, Workload
 
 #: Fault-model mixes a campaign run can use (cycled across runs).
 #: ``sram`` replays the run against a per-chip spatially correlated
@@ -547,6 +554,82 @@ def _build_injector(payload: Dict[str, Any], checker_count: int):
     raise ValueError(f"unknown fault-model mix {model!r}")
 
 
+@dataclass
+class _RunSetup:
+    """What every campaign run starts from, one main core or several."""
+
+    workload: "Workload"
+    golden: "GoldenResult"
+    config: "SystemConfig"
+    options: "EngineOptions"
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "_RunSetup":
+        """Workload and golden run, config overrides, DVS warm start."""
+        from dataclasses import replace
+
+        from ..config import table1_config
+        from ..core.engine import EngineOptions
+        from ..lslog.segment import RollbackGranularity
+        from ..scheduling import SchedulingPolicy
+        from ..workloads import golden_run, resolve_workload
+
+        workload = resolve_workload(payload["workload"], payload["scale"])
+        golden = golden_run(workload)
+        config = table1_config()
+        resilience_config = ResilienceConfig()
+        overrides = payload.get("overrides")
+        if overrides:
+            config, resilience_config = apply_config_overrides(
+                config, resilience_config, overrides
+            )
+        if payload["dvs"]:
+            # Warm-start below the safe voltage: campaigns probe the
+            # error-intensive region the production controller converges to.
+            config = replace(
+                config,
+                dvfs=replace(
+                    config.dvfs, initial_difference=float(payload["initial_margin"])
+                ),
+            )
+        options = EngineOptions(
+            granularity=RollbackGranularity.LINE,
+            scheduling=SchedulingPolicy.LOWEST_FREE_ID,
+            adaptive_checkpoints=True,
+            dvs=bool(payload["dvs"]),
+            # No voltage->rate model: the campaign pins the requested rate
+            # so runs are comparable across the rate grid.
+            voltage_model=None,
+            tracing=bool(payload.get("tracing", False)),
+            resilience=resilience_config,
+        )
+        return cls(workload, golden, config, options)
+
+    def engine(
+        self,
+        seed: int,
+        injector: "FaultInjector",
+        pool: Optional["SharedPoolView"] = None,
+        main_id: int = 0,
+    ) -> "SimulationEngine":
+        """One engine of the run; ``pool`` is a shared-pool view if any."""
+        import numpy as np
+
+        from ..core.engine import SimulationEngine
+
+        return SimulationEngine(
+            self.workload.program,
+            self.config,
+            self.options,
+            injector=injector,
+            memory=self.workload.create_memory(),
+            system_name="paradox-resilient",
+            rng=np.random.default_rng(int(seed)),
+            pool=pool,
+            main_id=main_id,
+        )
+
+
 def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Simulate one campaign run in-process and return a result dict.
 
@@ -564,59 +647,13 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     if int(payload.get("main_cores", 1)) > 1:
         return _execute_multicore_run(payload)
 
-    from dataclasses import replace
-
-    import numpy as np
-
-    from ..cli import resolve_workload
-    from ..config import table1_config
-    from ..core.engine import EngineOptions, SimulationEngine
-    from ..lslog.segment import RollbackGranularity
-    from ..scheduling import SchedulingPolicy
     from ..stats import RunOutcome
-    from ..workloads import golden_run
 
     started = time.perf_counter()
-    workload = resolve_workload(payload["workload"], payload["scale"])
-    golden = golden_run(workload)
-
-    config = table1_config()
-    resilience_config = ResilienceConfig()
-    overrides = payload.get("overrides")
-    if overrides:
-        config, resilience_config = apply_config_overrides(
-            config, resilience_config, overrides
-        )
-    if payload["dvs"]:
-        # Warm-start below the safe voltage: campaigns probe the
-        # error-intensive region the production controller converges to.
-        config = replace(
-            config,
-            dvfs=replace(
-                config.dvfs, initial_difference=float(payload["initial_margin"])
-            ),
-        )
-    injector = _build_injector(payload, config.checker.count)
-    options = EngineOptions(
-        granularity=RollbackGranularity.LINE,
-        scheduling=SchedulingPolicy.LOWEST_FREE_ID,
-        adaptive_checkpoints=True,
-        dvs=bool(payload["dvs"]),
-        # No voltage->rate model: the campaign pins the requested rate so
-        # runs are comparable across the rate grid.
-        voltage_model=None,
-        tracing=bool(payload.get("tracing", False)),
-        resilience=resilience_config,
-    )
-    engine = SimulationEngine(
-        workload.program,
-        config,
-        options,
-        injector=injector,
-        memory=workload.create_memory(),
-        system_name="paradox-resilient",
-        rng=np.random.default_rng(int(payload["seed"])),
-    )
+    setup = _RunSetup.from_payload(payload)
+    injector = _build_injector(payload, setup.config.checker.count)
+    engine = setup.engine(payload["seed"], injector)
+    workload, golden = setup.workload, setup.golden
     if engine.pool is not None:
         # Lowest-free-ID scheduling starts at the pool's randomised boot
         # offset, so rebind core-bound defects to the core that actually
@@ -665,45 +702,22 @@ def _execute_multicore_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     across mains (one SDC anywhere is an SDC for the run), and the
     result carries the pool's fairness summary.
     """
-    from dataclasses import replace
-
     import numpy as np
 
-    from ..cli import resolve_workload
-    from ..config import table1_config
-    from ..core.engine import EngineOptions, SimulationEngine
     from ..core.multicore import fairness_trace_events, run_shared_engines
-    from ..lslog.segment import RollbackGranularity
     from ..parallel import derive_seed
-    from ..scheduling import SchedulingPolicy
     from ..scheduling.shared import POOL_POLICIES, SharedCheckerPool
     from ..stats import RunOutcome
     from ..stats.fairness import FairnessReport
-    from ..workloads import golden_run
 
     started = time.perf_counter()
     mains = int(payload["main_cores"])
     policy = POOL_POLICIES[payload.get("pool_policy") or "steal"]
-    workload = resolve_workload(payload["workload"], payload["scale"])
-    golden = golden_run(workload)
-
-    config = table1_config()
-    resilience_config = ResilienceConfig()
-    overrides = payload.get("overrides")
-    if overrides:
-        config, resilience_config = apply_config_overrides(
-            config, resilience_config, overrides
-        )
-    if payload["dvs"]:
-        config = replace(
-            config,
-            dvfs=replace(
-                config.dvfs, initial_difference=float(payload["initial_margin"])
-            ),
-        )
+    setup = _RunSetup.from_payload(payload)
+    workload, golden = setup.workload, setup.golden
 
     base_seed = int(payload["seed"])
-    pool_size = config.checker.count
+    pool_size = setup.config.checker.count
     boot_rng = np.random.default_rng(derive_seed(base_seed, "mc-boot"))
     pool = SharedCheckerPool(
         mains,
@@ -711,34 +725,15 @@ def _execute_multicore_run(payload: Dict[str, Any]) -> Dict[str, Any]:
         policy=policy,
         boot_offset=int(boot_rng.integers(pool_size)),
     )
-    tracing = bool(payload.get("tracing", False))
+    tracing = setup.options.tracing
 
-    engines: List[SimulationEngine] = []
+    engines: List["SimulationEngine"] = []
     for main_id in range(mains):
         core_payload = dict(payload)
         core_payload["seed"] = derive_seed(base_seed, "mc", main_id)
         injector = _build_injector(core_payload, pool_size)
-        options = EngineOptions(
-            granularity=RollbackGranularity.LINE,
-            scheduling=SchedulingPolicy.LOWEST_FREE_ID,
-            adaptive_checkpoints=True,
-            dvs=bool(payload["dvs"]),
-            voltage_model=None,
-            tracing=tracing,
-            resilience=resilience_config,
-        )
-        view = pool.view(main_id, config.checker, workload.program)
-        engine = SimulationEngine(
-            workload.program,
-            config,
-            options,
-            injector=injector,
-            memory=workload.create_memory(),
-            system_name="paradox-resilient",
-            rng=np.random.default_rng(int(core_payload["seed"])),
-            pool=view,
-            main_id=main_id,
-        )
+        view = pool.view(main_id, setup.config.checker, workload.program)
+        engine = setup.engine(core_payload["seed"], injector, view, main_id)
         # Rebind core-bound defects to the first checker this main's
         # policy order actually prefers (same rationale as the
         # single-core path: a defect on a never-selected checker would
@@ -748,7 +743,7 @@ def _execute_multicore_run(payload: Dict[str, Any]) -> Dict[str, Any]:
                 model.bound_checker_id = pool._candidates[main_id][0]
         engines.append(engine)
 
-    results = run_shared_engines(engines, pool, [workload.max_instructions] * mains)
+    results = run_shared_engines(engines, [workload.max_instructions] * mains)
 
     stages: Dict[str, int] = {}
     quarantined: set = set()

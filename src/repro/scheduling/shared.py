@@ -28,21 +28,20 @@ instruction stream — while occupancy is physical.
 program, and busy state delegates to one shared slot per physical
 checker, so every producer sees a single timeline per core.
 
-Determinism: each engine runs on its own thread, and every pool
-interaction (select / dispatch / abort) gates through a
-:class:`_Turnstile` that only lets the globally earliest blocked
-interaction proceed, and only once *no* engine is freely running.
-Because each engine's interaction times are nondecreasing, interactions
-execute in globally sorted ``(time_ns, main_id)`` order — a conservative
-discrete-event co-simulation, bit-identical on every run.  ``select``
-holds the turn until the matching ``dispatch`` so the select-to-dispatch
+Determinism: the pool itself holds no lock and assumes one caller at a
+time.  :func:`repro.core.multicore.run_shared_engines` drives every
+engine from one heap in one thread, resuming the engine with the
+smallest ``(time_ns, main_id)`` stamp at each of its ``select`` and
+``abort`` calls.  Because each engine's call times are nondecreasing,
+pool calls execute in globally sorted order — a conservative
+discrete-event co-simulation, bit-identical on every run.  An engine
+never yields between ``select`` and the matching ``dispatch``, so the
 pair is one atomic reservation (two mains can never claim the same free
 checker for overlapping intervals).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -108,59 +107,6 @@ class SharedCheckerCore(CheckerCore):
         self._slot.busy_ns_total = value
 
 
-class _Turnstile:
-    """Deterministic turn-taking across the engine threads.
-
-    States per main: ``running`` (executing between pool interactions),
-    ``waiting`` (blocked at an interaction stamped with its simulated
-    time), ``holding`` (the granted interaction is in progress), and
-    ``done`` (the engine finished or died).  A waiter is granted only
-    when nobody holds, nobody is freely running, and it carries the
-    minimum ``(time_ns, main_id)`` — so interactions execute in global
-    simulated-time order regardless of OS thread scheduling.
-    """
-
-    _RUNNING, _WAITING, _HOLDING, _DONE = range(4)
-
-    def __init__(self, parties: int) -> None:
-        self._cond = threading.Condition()
-        self._state = [self._RUNNING] * parties
-        self._time = [0.0] * parties
-
-    def _grantable(self, main_id: int) -> bool:
-        states = self._state
-        if any(s == self._HOLDING for s in states):
-            return False
-        if any(s == self._RUNNING for s in states):
-            return False
-        best = min(
-            (i for i, s in enumerate(states) if s == self._WAITING),
-            key=lambda i: (self._time[i], i),
-        )
-        return best == main_id
-
-    def acquire(self, main_id: int, at_ns: float) -> None:
-        with self._cond:
-            assert self._state[main_id] == self._RUNNING, "nested pool interaction"
-            self._state[main_id] = self._WAITING
-            self._time[main_id] = at_ns
-            self._cond.notify_all()
-            while not self._grantable(main_id):
-                self._cond.wait()
-            self._state[main_id] = self._HOLDING
-
-    def release(self, main_id: int) -> None:
-        with self._cond:
-            self._state[main_id] = self._RUNNING
-            self._cond.notify_all()
-
-    def finish(self, main_id: int) -> None:
-        """Mark ``main_id`` done (normal exit or exception) forever."""
-        with self._cond:
-            self._state[main_id] = self._DONE
-            self._cond.notify_all()
-
-
 class SharedCheckerPool:
     """One physical pool of checker cores shared by ``main_count`` producers."""
 
@@ -187,7 +133,6 @@ class SharedCheckerPool:
         self._order = [(self.boot_offset + i) % size for i in range(size)]
         self._candidates = [self._candidate_order(m) for m in range(main_count)]
         self.dispatches: List[DispatchRecord] = []
-        self.turnstile = _Turnstile(main_count)
         #: Per-main cumulative checker-wait, accumulated at select time.
         self.wait_ns = [0.0] * main_count
         self.views: List["SharedPoolView"] = []
@@ -229,7 +174,7 @@ class SharedCheckerPool:
         self.views.append(view)
         return view
 
-    # -- shared-state mutators (turnstile held by the caller) --------------------
+    # -- shared-state mutators ----------------------------------------------------
     def select_for(
         self,
         view: "SharedPoolView",
@@ -367,13 +312,12 @@ class SharedPoolView:
     def earliest_free_ns(self, avoid: Optional[Set[int]] = None) -> float:
         return min(core.busy_until_ns for core in self._eligible(avoid))
 
-    # -- scheduling (turnstile-gated) --------------------------------------------
+    # -- scheduling --------------------------------------------------------------
     def select(
         self, now_ns: float, avoid: Optional[Set[int]] = None
     ) -> Tuple[SharedCheckerCore, float]:
-        """Reserve a core; the turn is held until :meth:`dispatch`."""
+        """Pick a core; the engine dispatches to it before yielding."""
         shared = self.shared
-        shared.turnstile.acquire(self.main_id, now_ns)
         core, start_ns = shared.select_for(self, now_ns, avoid)
         if start_ns > now_ns:
             shared.wait_ns[self.main_id] += start_ns - now_ns
@@ -386,42 +330,35 @@ class SharedPoolView:
         start_ns: float,
         duration_ns: float,
     ) -> DispatchRecord:
-        shared = self.shared
-        try:
-            record = shared.dispatch_for(self, core, segment_seq, start_ns, duration_ns)
-            self.last_core_id = core.core_id
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "scheduling",
-                    "busy",
-                    time_ns=start_ns,
-                    segment=segment_seq,
-                    core=core.core_id,
-                    value=duration_ns,
-                )
-                self.tracer.metrics.inc("scheduling.dispatches")
-                self.tracer.metrics.observe("scheduling.busy_ns", duration_ns)
-            return record
-        finally:
-            shared.turnstile.release(self.main_id)
+        record = self.shared.dispatch_for(
+            self, core, segment_seq, start_ns, duration_ns
+        )
+        self.last_core_id = core.core_id
+        if self.tracer is not None:
+            self.tracer.emit(
+                "scheduling",
+                "busy",
+                time_ns=start_ns,
+                segment=segment_seq,
+                core=core.core_id,
+                value=duration_ns,
+            )
+            self.tracer.metrics.inc("scheduling.dispatches")
+            self.tracer.metrics.observe("scheduling.busy_ns", duration_ns)
+        return record
 
     def abort(self, record: DispatchRecord, at_ns: float) -> None:
-        shared = self.shared
-        shared.turnstile.acquire(self.main_id, at_ns)
-        try:
-            reclaimed = shared.abort_for(record, at_ns)
-            if reclaimed > 0 and self.tracer is not None:
-                self.tracer.emit(
-                    "scheduling",
-                    "abort",
-                    time_ns=at_ns,
-                    segment=record.segment_seq,
-                    core=record.core_id,
-                    value=reclaimed,
-                )
-                self.tracer.metrics.inc("scheduling.aborts")
-        finally:
-            shared.turnstile.release(self.main_id)
+        reclaimed = self.shared.abort_for(record, at_ns)
+        if reclaimed > 0 and self.tracer is not None:
+            self.tracer.emit(
+                "scheduling",
+                "abort",
+                time_ns=at_ns,
+                segment=record.segment_seq,
+                core=record.core_id,
+                value=reclaimed,
+            )
+            self.tracer.metrics.inc("scheduling.aborts")
 
     # -- per-main statistics -----------------------------------------------------
     def wake_rates(self, total_ns: float) -> List[float]:

@@ -10,6 +10,7 @@ from .kernels import (
     matmul_reference,
     quicksort_reference,
 )
+from .registry import WORKLOAD_BUILDERS, resolve_workload
 from .spec import SPEC_ORDER, SPEC_PROFILES, build_spec_suite, build_spec_workload
 from .stream import build_stream, expected_stream
 from .synthetic import WorkloadProfile, build_synthetic
@@ -18,6 +19,7 @@ __all__ = [
     "GoldenResult",
     "SPEC_ORDER",
     "SPEC_PROFILES",
+    "WORKLOAD_BUILDERS",
     "Workload",
     "WorkloadProfile",
     "build_bitcount",
@@ -34,4 +36,5 @@ __all__ = [
     "golden_run",
     "matmul_reference",
     "quicksort_reference",
+    "resolve_workload",
 ]

@@ -1,13 +1,18 @@
 """Multi-main-core shared checker pool: invariants, determinism, fairness."""
 
+import hashlib
 import json
+import threading
+from dataclasses import asdict, replace
 
 import pytest
 
+from repro.config import table1_config
 from repro.core import ParaDoxSystem, run_multicore
 from repro.core.multicore import CoreSpec, MulticoreEngine
 from repro.core.systems import BaselineSystem
 from repro.resilience import CampaignSpec, run_campaign
+from repro.resilience.campaign import execute_run
 from repro.scheduling import POOL_POLICIES, PoolPolicy, SharedCheckerPool
 from repro.stats.fairness import FairnessReport, gini, shares
 from repro.store import run_key
@@ -123,6 +128,134 @@ class TestDeterminism:
     def test_every_core_completes(self):
         result = run_mix(PoolPolicy.WORK_STEALING)
         assert [r.outcome.value for r in result.results] == ["completed"] * 2
+
+
+def digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def faulty_harness(policy, pool_size):
+    """Two resilient cores at a fault rate that forces rollbacks and aborts."""
+    config = table1_config()
+    config = replace(config, fault=replace(config.fault, error_rate=1e-3))
+    return MulticoreEngine(
+        [CoreSpec(workload=w) for w in small_mix()],
+        policy=policy,
+        pool_size=pool_size,
+        seed=11,
+        tracing=True,
+        default_system=ParaDoxSystem(config=config, resilient=True),
+    )
+
+
+CAMPAIGN_CELL = {
+    "run_id": 0,
+    "workload": "bitcount",
+    "scale": 0.2,
+    "seed": 1,
+    "rate": 1e-3,
+    "model": "transient",
+    "dvs": True,
+    "initial_margin": 0.05,
+    "chip_seed": 0,
+    "tracing": False,
+}
+
+
+class TestPinnedDigests:
+    """Byte-identity of multicore results, pinned as SHA-256 digests.
+
+    Repeat runs agreeing with each other cannot catch a change that
+    reorders shared-pool calls; these digests were recorded from the
+    thread-and-turnstile driver and every later driver must reproduce
+    them exactly.
+    """
+
+    HARNESS = {
+        ("static", 2): "274f7071ca4553f41f91070485631ecb1c1637fa3b8de8a8c4c4e7ae4abe1c9c",
+        ("static", 4): "9135ee71d322fb7b285f1abd89721e6110ae72778dec48e774ba41cc01815448",
+        ("steal", 2): "02981d61bff97ed2ed3fbb64b2d6f9c9855742920808c345b53a147daee8756c",
+        ("steal", 4): "eaf1c3d44ff46f6d6d330f2782b6307edc8b45d1d53a684379d45e258af7a276",
+        ("reserve", 2): "a0fe7e005d5693b36a6867bd4cd64307eb526edb8c13c875c884a8ca473a8885",
+        ("reserve", 4): "edfcfccc94d7dfaa7089783814ec3be433815bcc45b2a4b19ebe3a86b5919094",
+    }
+
+    CAMPAIGN = {
+        None: "8f42830fb466881edd4716dbb4e03922fb68e847e3dc1d3c90f96d0ca866a0df",
+        "static": "c392b6a200baa72de35a0b5a52a0e9553508dd05120204b57d5fa9e13cac5672",
+        "steal": "1619f96278c84920e7958e5551e44b9c1c5dcd107e2c1a3fa875617b27e6575d",
+        "reserve": "172882820094f07d41125a75eea9b8027bba4be26d39ac4c4c1a75966eacc4db",
+    }
+
+    @staticmethod
+    def harness_digest(policy, pool_size):
+        harness = faulty_harness(policy, pool_size)
+        result = harness.run()
+        assert any(r.recoveries for r in result.results)
+        return digest(
+            {
+                "result": result.to_dict(),
+                "trace": result.trace,
+                "dispatches": [asdict(d) for d in harness.pool.dispatches],
+                "stalls": [asdict(r.stalls) for r in result.results],
+            }
+        )
+
+    @staticmethod
+    def campaign_digest(policy):
+        cell = dict(CAMPAIGN_CELL)
+        if policy is not None:
+            cell.update(main_cores=2, pool_policy=policy)
+        result = execute_run(cell)
+        assert result["recoveries"] > 0
+        del result["duration_s"]
+        return digest(result)
+
+    @pytest.mark.parametrize("pool_size", [2, 4])
+    @pytest.mark.parametrize("policy", list(PoolPolicy))
+    def test_harness_results(self, policy, pool_size):
+        expected = self.HARNESS[(policy.value, pool_size)]
+        assert self.harness_digest(policy, pool_size) == expected
+
+    @pytest.mark.parametrize("policy", [None] + sorted(POOL_POLICIES))
+    def test_campaign_cells(self, policy):
+        assert self.campaign_digest(policy) == self.CAMPAIGN[policy]
+
+
+class TestDriver:
+    def test_runs_without_os_threads(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the multicore driver must not start threads")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = run_mix(PoolPolicy.WORK_STEALING, pool_size=2)
+        assert [r.outcome.value for r in result.results] == ["completed"] * 2
+
+    def test_engine_error_is_reraised_after_the_others_finish(self):
+        harness = MulticoreEngine(
+            [CoreSpec(workload=w) for w in small_mix()],
+            policy=PoolPolicy.WORK_STEALING,
+            pool_size=2,
+            seed=11,
+        )
+        failing = harness.engines[1]
+        real_check = failing._check
+        calls = []
+
+        def check(core, segment):
+            calls.append(segment.seq)
+            if len(calls) == 3:
+                raise RuntimeError("checker exploded")
+            return real_check(core, segment)
+
+        failing._check = check
+        with pytest.raises(RuntimeError, match="checker exploded"):
+            harness.run()
+        assert len(calls) == 3
+        survivor = harness.engines[0]
+        assert survivor.state.halted
+        assert not survivor._pending
+        assert all(r.main_id == 0 for r in harness.pool.dispatches[-3:])
 
 
 class TestTelemetry:

@@ -93,7 +93,8 @@ class TestMainTrapWithoutSegment:
         engine._segment = None
         engine._pending.clear()
         engine._pending_detected = 0
-        engine._handle_main_trap(InvalidPcTrap(10_000))
+        for _ in engine._handle_main_trap(InvalidPcTrap(10_000)):
+            pass
         # Recovery recorded, nothing rolled back, and filling resumed.
         assert engine._segment is not None
         event = engine.recoveries[-1]
@@ -110,4 +111,5 @@ class TestMainTrapWithoutSegment:
             EngineOptions(checking=False),
         )
         with pytest.raises(RuntimeError, match="unprotected"):
-            engine._handle_main_trap(InvalidPcTrap(10_000))
+            for _ in engine._handle_main_trap(InvalidPcTrap(10_000)):
+                pass
