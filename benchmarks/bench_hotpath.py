@@ -53,6 +53,30 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 
+def _clear_process_caches() -> None:
+    """Drop the process-wide workload and compiled-code caches.
+
+    A leg timed after another leg in the same process would otherwise
+    reuse the workloads and superblocks the first one built, and read
+    faster for it (BENCH_PR7 recorded a 2.7x suite "speedup" at
+    ``--jobs 1`` that way).  Caches a revision lacks are skipped.
+    """
+    import importlib
+
+    for module_name, names in (
+        ("repro.experiments.spec_runs", ("_WORKLOAD_CACHE",)),
+        ("repro.jit.tier", ("_SHARED_CODE", "_SHARED_LEADERS")),
+    ):
+        try:
+            module = importlib.import_module(module_name)
+        except ImportError:
+            continue
+        for name in names:
+            cache = getattr(module, name, None)
+            if cache is not None:
+                cache.clear()
+
+
 def _best_of(fn, repeats: int) -> float:
     """Minimum wall-clock seconds of ``repeats`` calls to ``fn``."""
     best = float("inf")
@@ -158,7 +182,11 @@ def bench_jit(iterations: int, repeats: int, engine_iterations: int) -> Dict[str
     Equivalence is asserted alongside the timing: the two executor runs
     must agree on final registers/memory/output and the two engine runs
     on wall_ns/instructions, so a speedup number can never be recorded
-    for a tier that drifted.
+    for a tier that drifted.  ``engine_dispatches`` counts the blocks the
+    compiled engine run actually dispatched, so ``engine_identical``
+    cannot hold merely because no block ran.  Every timed run follows a
+    warm-up in the same process, so compiled code is already cached
+    (``cache_state: warm``).
     """
     from repro.core import ParaDoxSystem
     from repro.workloads import build_spec_workload, golden_run
@@ -180,7 +208,8 @@ def bench_jit(iterations: int, repeats: int, engine_iterations: int) -> Dict[str
     plain = ParaDoxSystem(jit=False)
     tiered = ParaDoxSystem()
     interp_result = plain.run(engine_workload, seed=12345)  # warm-up
-    jit_result = tiered.run(engine_workload, seed=12345)
+    engine = tiered.engine(engine_workload, seed=12345)
+    jit_result = engine.run(engine_workload.max_instructions)
     engine_identical = (
         interp_result.wall_ns == jit_result.wall_ns
         and interp_result.instructions == jit_result.instructions
@@ -210,6 +239,8 @@ def bench_jit(iterations: int, repeats: int, engine_iterations: int) -> Dict[str
         ),
         "engine_speedup": round(engine_interp_s / engine_jit_s, 3),
         "engine_identical": engine_identical,
+        "engine_dispatches": engine.jit.stats.dispatches,
+        "cache_state": "warm",
     }
 
 
@@ -221,8 +252,10 @@ def bench_suite(
 
     # Warm-up: module imports and allocator growth are one-time costs
     # that would otherwise land entirely on the serial leg (which runs
-    # first) and flatter the fan-out.
+    # first) and flatter the fan-out.  Each leg then starts from empty
+    # workload and code caches, as a fresh `repro suite` process does.
     run_spec_suite(iterations=1, names=names)
+    _clear_process_caches()
     started = time.perf_counter()
     serial = run_spec_suite(iterations=iterations, names=names)
     serial_s = time.perf_counter() - started
@@ -235,7 +268,9 @@ def bench_suite(
         "serial_s": round(serial_s, 3),
         "cpu_count": cpus,
         "oversubscribed": jobs > cpus,
+        "cache_state": "cold",
     }
+    _clear_process_caches()
     try:
         started = time.perf_counter()
         parallel = run_spec_suite(iterations=iterations, names=names, jobs=jobs)

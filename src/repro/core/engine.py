@@ -80,6 +80,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: wall time (ns) before each one (see :meth:`SimulationEngine.steps`).
 Steps = Generator[float, None, None]
 
+#: ``dict.get`` default telling "no tier entry yet" from a cached None.
+_MISS = object()
+
 
 class LivelockError(RuntimeError):
     """The run exceeded its total execution budget (recovery livelock)."""
@@ -1015,9 +1018,9 @@ class SimulationEngine:
         executed = 0
         while not state.halted and state.instret < max_instructions:
             if jit_active_get is not None:
-                entry = jit_active_get(state.pc)
-                if entry is None:
-                    entry = jit.runner(state.pc)
+                entry = jit_active_get(state.pc, _MISS)
+                if entry is _MISS:
+                    entry = jit.runner(state.pc, max_instructions - state.instret)
                 if (
                     entry is not None
                     and state.instret + entry.length <= max_instructions
@@ -1084,7 +1087,11 @@ class SimulationEngine:
                     segment_target = self.length_controller.target
                     continue  # a detection rolled us back; retry
                 self._external_verified = True
-            if jit_active_get is not None and not self._external_verified:
+            if (
+                jit_active_get is not None
+                and not self._external_verified
+                and not self._pending_detected
+            ):
                 # Compiled dispatch.  A block runs only when every
                 # per-instruction obligation of the interpreted path is
                 # provably a no-op across its whole span: no pending
@@ -1095,13 +1102,20 @@ class SimulationEngine:
                 # not built then), and the segment target, instruction
                 # budget and livelock budget all have room for the full
                 # block.  Anything short of that falls through to the
-                # interpreter below.
-                entry = jit_active_get(state.pc)
-                if entry is None:
-                    entry = jit.runner(state.pc)
+                # interpreter below.  The tier sees the same room on a
+                # miss, so it never compiles a block that cannot run.
+                entry = jit_active_get(state.pc, _MISS)
+                if entry is _MISS:
+                    entry = jit.runner(
+                        state.pc,
+                        min(
+                            segment_target - self._segment.instruction_count,
+                            max_instructions - state.instret,
+                            livelock_budget - self._executed_total,
+                        ),
+                    )
                 if (
                     entry is not None
-                    and not self._pending_detected
                     and self._segment.instruction_count + entry.length
                     <= segment_target
                     and state.instret + entry.length <= max_instructions

@@ -146,6 +146,7 @@ class Executor:
             active_get = jit._active.get
             runner = jit.runner
             step = self.step
+            miss = object()
             dispatches = 0
             block_instructions = 0
             try:
@@ -153,11 +154,9 @@ class Executor:
                     instret = state.instret
                     if instret >= limit:
                         break
-                    # None doubles as "cached non-block" and "miss";
-                    # runner() resolves both (the former in one probe).
-                    entry = active_get(state.pc)
-                    if entry is None:
-                        entry = runner(state.pc)
+                    entry = active_get(state.pc, miss)
+                    if entry is miss:
+                        entry = runner(state.pc, limit - instret)
                     if entry is not None and instret + entry.length <= limit:
                         entry.run()
                         dispatches += 1

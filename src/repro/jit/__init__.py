@@ -4,8 +4,8 @@ The interpreter in :mod:`repro.isa.executor` pays a per-instruction
 dispatch cost (decode-table probe, handler call, :class:`StepInfo`
 allocation) that dominates fault-free execution time.  This package
 removes it for the common case: straight-line regions (**superblocks**)
-are discovered at runtime from the decoded program, compiled once into a
-single specialized Python function — register indices, immediates and
+are discovered at runtime from the decoded program, compiled once hot into
+a single specialized Python function — register indices, immediates and
 folded constants burned in as literals, the source run through
 ``compile()`` — and cached by entry PC.  Control flow, traps, syscalls
 and fault-injection points are never folded into a block; execution
@@ -25,13 +25,22 @@ Layering:
   activations invalidated on voltage moves, per-segment rebinding.
 """
 
-from .superblock import COMPILABLE_OPCODES, MAX_BLOCK, MIN_BLOCK, superblock_length
+from .superblock import (
+    COMPILABLE_OPCODES,
+    HOT_ENTRIES,
+    MAX_BLOCK,
+    MIN_BLOCK,
+    block_leaders,
+    superblock_length,
+)
 from .tier import BlockEntry, JitStats, SuperblockJit
 
 __all__ = [
     "COMPILABLE_OPCODES",
+    "HOT_ENTRIES",
     "MAX_BLOCK",
     "MIN_BLOCK",
+    "block_leaders",
     "superblock_length",
     "BlockEntry",
     "JitStats",

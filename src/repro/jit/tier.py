@@ -1,4 +1,4 @@
-"""The superblock cache: compile once, bind per context, invalidate cheap.
+"""The superblock cache: compile when hot, bind per context, invalidate cheap.
 
 Two layers of caching, keyed by entry PC:
 
@@ -12,6 +12,14 @@ Two layers of caching, keyed by entry PC:
   (:meth:`SuperblockJit.note_voltage`), the event that re-thresholds
   fault maps and re-times the core; re-binding a block afterwards is a
   single factory call.
+
+Compilation is lazy.  A caller that passes its ``room`` to
+:meth:`SuperblockJit.runner` gets a block only at a control-flow leader,
+only when the block fits that room, and only on the block's
+:data:`~repro.jit.superblock.HOT_ENTRIES`-th fitting arrival in this
+run.  The heat counts are per tier, so every ``jit.*`` counter except
+``blocks_compiled`` is a function of the run alone, whatever the warmth
+of the process-wide code cache.
 
 Segment turnover is even cheaper: compiled blocks take the recorder as a
 call argument, so :meth:`SuperblockJit.note_segment` just swaps the
@@ -29,9 +37,9 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from ..isa.executor import StepInfo
 from ..isa.instructions import FunctionalUnit
 from ..isa.registers import bits_to_float, float_to_bits
-from . import runtime
+from . import runtime, superblock
 from .emit import build_step_infos, emit_factory_source
-from .superblock import superblock_length
+from .superblock import block_leaders, superblock_length
 
 _UNITS_BY_NAME = {unit.value: unit for unit in FunctionalUnit}
 
@@ -48,16 +56,28 @@ _MISS = object()
 _SHARED_CODE: Dict[Tuple[int, bool, bool], Dict[int, Optional["_Compiled"]]] = {}
 
 
-def _shared_code_for(
-    program, record: bool, commit: bool
-) -> Dict[int, Optional["_Compiled"]]:
-    key = (id(program), record, commit)
-    cache = _SHARED_CODE.get(key)
-    if cache is None:
-        cache = {}
-        _SHARED_CODE[key] = cache
-        weakref.finalize(program, _SHARED_CODE.pop, key, None)
-    return cache
+# Per program: the block length at every control-flow leader that starts
+# a superblock.  Shared and evicted like _SHARED_CODE.
+_SHARED_LEADERS: Dict[int, Dict[int, int]] = {}
+
+
+def _per_program(table: Dict, key, program, build: Callable[[], Dict]) -> Dict:
+    """``table[key]``, built on first use and evicted when ``program`` dies."""
+    value = table.get(key)
+    if value is None:
+        value = build()
+        table[key] = value
+        weakref.finalize(program, table.pop, key, None)
+    return value
+
+
+def _leader_lengths(instructions) -> Dict[int, int]:
+    lengths = {}
+    for pc in block_leaders(instructions):
+        length = superblock_length(instructions, pc)
+        if length:
+            lengths[pc] = length
+    return lengths
 
 
 @dataclass
@@ -107,10 +127,12 @@ class JitStats:
 class SuperblockJit:
     """Per-run compiled tier over one program/state/port triple.
 
-    The tier is deliberately not shared across runs: ``Program`` is an
-    eq-compared (unhashable) dataclass, and a block compiles in single-
-    digit microseconds against runs that last hundreds of milliseconds,
-    so a cross-run code cache would buy <2% for real aliasing risk.
+    Compiling is the tier's dominant cost: emitting and ``compile()``-ing
+    a record+commit block takes about 90 us per instruction (about 2 ms
+    for a typical block), against 2-4 us per instruction saved each time
+    the block runs.  Hence :meth:`runner` compiles a block only once it
+    is hot.  Compiled code is shared by every tier over the same
+    program object in the process; bound blocks and heat are per tier.
 
     ``record`` adds per-instruction segment recording (the block
     receives the recorder as its call argument); ``commit``/``unit_mix``
@@ -135,8 +157,19 @@ class SuperblockJit:
         self.record = record
         self._commit = commit
         self._unit_mix = unit_mix
-        self._code = _shared_code_for(program, record, commit is not None)
+        self._code: Dict[int, Optional[_Compiled]] = _per_program(
+            _SHARED_CODE, (id(program), record, commit is not None), program, dict
+        )
         self._active: Dict[int, Optional[BlockEntry]] = {}
+        self._leaders = _per_program(
+            _SHARED_LEADERS,
+            id(program),
+            program,
+            lambda: _leader_lengths(program.instructions),
+        )
+        self._size = len(program.instructions)
+        #: Fitting arrivals so far at each leader not yet activated.
+        self._heat: Dict[int, int] = {}
         #: Current segment's ``record_instruction``; the engine passes
         #: this into every record-mode dispatch.
         self._rec: Optional[Callable[..., None]] = None
@@ -144,20 +177,41 @@ class SuperblockJit:
         self.stats = JitStats()
 
     # -- dispatch ---------------------------------------------------------
-    def runner(self, pc: int) -> Optional[BlockEntry]:
-        """The bound block entered at ``pc``, or None to interpret."""
+    def runner(self, pc: int, room: Optional[int] = None) -> Optional[BlockEntry]:
+        """The bound block entered at ``pc``, or None to interpret.
+
+        ``room`` is how many instructions the caller may still run
+        before its next gate (segment target, instruction or livelock
+        budget).  With it, a block is activated only at a control-flow
+        leader, only when its length fits ``room``, and only on its
+        :data:`~repro.jit.superblock.HOT_ENTRIES`-th such arrival; a
+        non-leader is cached as None, a cold or non-fitting arrival
+        returns None uncached.  Without it, the block is activated on
+        the first request (the differential oracle checks every block).
+        """
         entry = self._active.get(pc, _MISS)
         if entry is not _MISS:
             return entry
+        if room is None:
+            return self._activate(pc)
+        length = self._leaders.get(pc)
+        if length is None:
+            if 0 <= pc < self._size:
+                self._active[pc] = None
+            return None
+        if length > room:
+            return None
+        heat = self._heat.get(pc, 0) + 1
+        if heat < superblock.HOT_ENTRIES:
+            self._heat[pc] = heat
+            return None
         return self._activate(pc)
 
     def _activate(self, pc: int) -> Optional[BlockEntry]:
         compiled = self._code.get(pc, _MISS)
         if compiled is _MISS:
             compiled = self._compile(pc)
-            if compiled is None and not (
-                0 <= pc < len(self.program.instructions)
-            ):
+            if compiled is None and not 0 <= pc < self._size:
                 # Never memoise wild PCs (e.g. a fuzzed JALR target):
                 # the interpreter turns them into InvalidPcTrap and the
                 # cache must not grow without bound.
@@ -235,6 +289,6 @@ class SuperblockJit:
         compiled = self._code.get(pc, _MISS)
         if compiled is _MISS:
             compiled = self._compile(pc)
-            if 0 <= pc < len(self.program.instructions):
+            if 0 <= pc < self._size:
                 self._code[pc] = compiled
         return compiled.source if compiled is not None else None

@@ -12,10 +12,15 @@ under a main-core injector) are pinned explicitly.
 
 from __future__ import annotations
 
+import json
+import os
 import signal
+import subprocess
+import sys
 import time
 import types
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +30,12 @@ from repro.isa import ArchState, MemoryImage, Opcode, assemble
 from repro.isa.instructions import BRANCH_OPCODES
 from repro.jit import (
     COMPILABLE_OPCODES,
+    HOT_ENTRIES,
     MAX_BLOCK,
     MIN_BLOCK,
     SuperblockJit,
+    block_leaders,
+    superblock,
     superblock_length,
 )
 from repro.oracle.fuzzer import PROFILES, build_workload, generate_case, run_case
@@ -77,6 +85,26 @@ class TestSuperblockDiscovery:
         source = "\n".join(f"movi x{1 + (i % 5)}, {i}" for i in range(200))
         program = assemble(source + "\nhalt")
         assert superblock_length(program.instructions, 0) == MAX_BLOCK
+
+    def test_leaders(self):
+        program = assemble(
+            "movi x1, 1\n"      # 0: program entry
+            "cbz x1, mid\n"     # 1
+            "movi x2, 2\n"      # 2: after a branch
+            "movi x3, 3\n"      # 3
+            "mid:\n"
+            "movi x4, 4\n"      # 4: branch target
+            "movi x5, 5\n"      # 5
+            "jal x30, fn\n"     # 6
+            "movi x6, 6\n"      # 7: after JAL (return point)
+            "syscall 2\n"       # 8
+            "movi x7, 7\n"      # 9: after SYSCALL
+            "halt\n"            # 10
+            "fn:\n"
+            "movi x9, 9\n"      # 11: after HALT and JAL target
+            "jalr x30"          # 12: its fall-through is off the end
+        )
+        assert block_leaders(program.instructions) == {0, 2, 4, 7, 9, 11}
 
     def test_fuzz_blocks_never_contain_excluded_opcodes(self):
         for profile in PROFILES:
@@ -153,15 +181,35 @@ def _result_fingerprint(result):
     )
 
 
+@pytest.fixture
+def compile_on_first_arrival(monkeypatch):
+    """Compile every block on its first fitting arrival.
+
+    These runs are too short for the default heat threshold to compile
+    anything, and the identity tests must compare compiled execution
+    against interpretation.
+    """
+    monkeypatch.setattr(superblock, "HOT_ENTRIES", 1)
+
+
+def _run_compiled(system, workload, seed):
+    """``system.run`` that also checks blocks actually ran."""
+    engine = system.engine(workload, seed=seed)
+    result = engine.run(workload.max_instructions)
+    assert engine.jit.stats.dispatches > 0
+    return result
+
+
+@pytest.mark.usefixtures("compile_on_first_arrival")
 class TestEngineIdentity:
     def test_error_free_run(self, bitcount_small):
-        jitted = ParaDoxSystem().run(bitcount_small, seed=7)
+        jitted = _run_compiled(ParaDoxSystem(), bitcount_small, seed=7)
         interp = ParaDoxSystem(jit=False).run(bitcount_small, seed=7)
         assert _result_fingerprint(jitted) == _result_fingerprint(interp)
 
     def test_dvs_run(self):
         workload = build_spec_workload("milc", iterations=12)
-        jitted = ParaDoxSystem(dvs=True).run(workload, seed=3)
+        jitted = _run_compiled(ParaDoxSystem(dvs=True), workload, seed=3)
         interp = ParaDoxSystem(dvs=True, jit=False).run(workload, seed=3)
         assert jitted.voltage_trace  # DVS actually moved the supply
         assert _result_fingerprint(jitted) == _result_fingerprint(interp)
@@ -171,7 +219,7 @@ class TestEngineIdentity:
         from repro.config import table1_config
 
         config = table1_config().with_error_rate(1e-3, seed=3)
-        jitted = ParaDoxSystem(config=config).run(workload, seed=3)
+        jitted = _run_compiled(ParaDoxSystem(config=config), workload, seed=3)
         interp = ParaDoxSystem(config=config, jit=False).run(workload, seed=3)
         assert jitted.faults_injected > 0
         assert jitted.recoveries  # rollbacks replayed through both paths
@@ -232,6 +280,7 @@ class TestInvalidation:
         assert jit._rec is recorder
         assert jit.stats.segment_rebinds == 1
 
+    @pytest.mark.usefixtures("compile_on_first_arrival")
     def test_engine_counts_dvfs_invalidations(self):
         workload = build_spec_workload("milc", iterations=12)
         system = ParaDoxSystem(dvs=True)
@@ -242,6 +291,104 @@ class TestInvalidation:
         assert stats.dispatches > 0 and stats.instructions > 0
         assert stats.segment_rebinds > 0
         assert stats.voltage_invalidations > 0  # DVS moved the supply
+
+
+# ---------------------------------------------------------------------------
+# lazy compilation: leaders, room and heat
+
+
+def _straight_line_tier(length):
+    """A tier over a fresh program: one block of ``length`` at pc 0."""
+    source = "\n".join(f"movi x{1 + i % 5}, {i}" for i in range(length))
+    workload = Workload(
+        name="line", program=assemble(source + "\nhalt"), max_instructions=100
+    )
+    return _bare_tier(workload)[0]
+
+
+class TestLazyCompilation:
+    def test_non_leader_neither_compiles_nor_heats(self):
+        jit = _straight_line_tier(6)
+        for _ in range(HOT_ENTRIES + 1):
+            assert jit.runner(1, room=100) is None
+        assert jit._active == {1: None}
+        assert not jit._heat
+        assert jit.stats.blocks_compiled == 0
+
+    def test_non_fitting_arrival_neither_compiles_nor_heats(self):
+        jit = _straight_line_tier(6)
+        for _ in range(HOT_ENTRIES + 1):
+            assert jit.runner(0, room=5) is None
+        assert not jit._active and not jit._heat
+        assert jit.stats.blocks_compiled == 0
+
+    def test_block_compiles_on_hot_arrival(self):
+        jit = _straight_line_tier(6)
+        for _ in range(HOT_ENTRIES - 1):
+            assert jit.runner(0, room=6) is None
+        assert jit.stats.blocks_compiled == 0
+        entry = jit.runner(0, room=6)
+        assert entry is not None and entry.length == 6
+        assert jit.stats.blocks_compiled == 1
+        assert jit.stats.activations == 1
+        assert jit.runner(0, room=6) is entry
+
+    def test_runner_without_room_is_eager(self):
+        jit = _straight_line_tier(6)
+        entry = jit.runner(1)  # not a leader, first request
+        assert entry is not None and entry.length == 5
+        assert jit.stats.blocks_compiled == 1
+
+    def test_wild_pc_is_not_cached(self):
+        jit = _straight_line_tier(6)
+        assert jit.runner(1000, room=100) is None
+        assert jit.runner(-3, room=100) is None
+        assert not jit._active
+
+
+_GAUGE_SCRIPT = """
+import json
+from repro.core import ParaDoxSystem
+from repro.workloads import build_spec_workload
+result = ParaDoxSystem(tracing=True).run(
+    build_spec_workload("milc", iterations=400), seed=3
+)
+print(json.dumps(result.metrics["gauges"]))
+"""
+
+
+def _jit_gauges(gauges):
+    return {name: value for name, value in gauges.items() if name.startswith("jit.")}
+
+
+@pytest.fixture(scope="module")
+def fresh_process_milc_gauges():
+    """``jit.*`` gauges of a cold milc-400 ParaDox run in a new process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", _GAUGE_SCRIPT],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return _jit_gauges(json.loads(completed.stdout.splitlines()[-1]))
+
+
+class TestRunDeterministicGauges:
+    def test_cold_milc_run_dispatches_blocks(self, fresh_process_milc_gauges):
+        assert fresh_process_milc_gauges["jit.activations"] > 0
+        assert fresh_process_milc_gauges["jit.dispatches"] > 0
+        assert fresh_process_milc_gauges["jit.instructions"] > 0
+
+    def test_gauges_ignore_code_cache_warmth(self, fresh_process_milc_gauges):
+        workload = build_spec_workload("milc", iterations=400)
+        system = ParaDoxSystem(tracing=True)
+        cold = system.run(workload, seed=3)
+        warm = system.run(workload, seed=3)  # compiled code now shared
+        assert _jit_gauges(cold.metrics["gauges"]) == fresh_process_milc_gauges
+        assert _jit_gauges(warm.metrics["gauges"]) == fresh_process_milc_gauges
 
 
 # ---------------------------------------------------------------------------
